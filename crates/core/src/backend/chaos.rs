@@ -151,8 +151,7 @@ impl<B: Backend> ChaosBackend<B> {
             let Some(spec) = self.staged.get(&c.lease) else {
                 continue;
             };
-            let resumed = WorkSpec::resuming(spec.kernel.clone(), spec.task_size, c.progress);
-            self.inner.stage(c.lease, resumed);
+            self.inner.stage(c.lease, spec.resumed_at(c.progress));
             let range = in_flight
                 .iter()
                 .find(|&&(l, _)| l == c.lease)

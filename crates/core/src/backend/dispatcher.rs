@@ -3,114 +3,57 @@
 //! [`crate::dispatch`].
 //!
 //! This is the execution substrate of the live
-//! [`SlateDaemon`](crate::daemon::SlateDaemon). A dispatched lease is a
-//! [`Dispatcher`] running on its own thread; resizes and evictions act on
-//! its [`DispatchHandle`] exactly as the daemon's arbiter frontend does —
-//! in fact the daemon and this backend share the [`LeaseTable`] that maps
-//! arbiter `Resize`/`Evict` commands onto dispatch handles (including the
-//! injected-hang token cancel on eviction).
+//! [`SlateDaemon`](crate::daemon::SlateDaemon): its arbiter frontend owns
+//! one backend per device and carries out every routed
+//! `Dispatch`/`Resize`/`Evict` through [`Backend::apply`], so the
+//! conformance suite tests the code production runs. A dispatched lease
+//! is a [`Dispatcher`] running on its own thread; resizes and evictions
+//! act on its [`DispatchHandle`], and an eviction also cancels the
+//! staging's [`WorkSpec::cancel`] token so a cooperatively hung kernel
+//! actually comes back.
 
 use super::{Backend, Completion, DeviceFault, DeviceHealth, WorkSpec};
 use crate::arbiter::Command;
 use crate::dispatch::{DispatchHandle, Dispatcher};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
-use slate_gpu_sim::fault::{FaultKind, FaultPlan, FaultSite, FaultToken};
+use slate_gpu_sim::fault::FaultToken;
 use std::collections::{BTreeMap, BTreeSet};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-/// The execution-side state of in-flight dispatches: the handles the
-/// arbiter's `Resize`/`Evict` commands act on, plus the injected-hang
-/// token to cancel on eviction so cooperatively hung workers actually come
-/// back. Shared between the daemon's arbiter frontend and
-/// [`DispatcherBackend`] — one interpretation of execution commands
-/// against dispatch handles.
-///
-/// Ordered map by rule: any structure on the command/replay path must
-/// iterate deterministically, even if today's accesses are keyed lookups.
-/// (Dense-slot rule, `DESIGN.md` §17: decision-path tables inside the
-/// arbitration core use interned `IdTable` slots instead — but there,
-/// any slot iteration whose order can reach output sorts by external id
-/// first. This table is keyed-lookup-only and off the per-event hot
-/// path, so the ordered map stays.)
-#[derive(Debug, Default)]
-pub struct LeaseTable {
-    entries: BTreeMap<u64, LeaseEntry>,
+/// Where completions go: the backend's channel, plus the thread to unpark
+/// once one is there.
+#[derive(Clone)]
+struct Notifier {
+    tx: Sender<Completion>,
+    waker: Option<Thread>,
 }
 
-#[derive(Debug)]
-struct LeaseEntry {
+impl Notifier {
+    fn send(&self, c: Completion) {
+        let _ = self.tx.send(c);
+        if let Some(t) = &self.waker {
+            t.unpark();
+        }
+    }
+}
+
+/// A dispatched staging: the handle its `Resize`/`Evict` commands act
+/// on, the token an eviction cancels, and the thread running it.
+struct Run {
     handle: DispatchHandle,
-    token: Option<FaultToken>,
+    cancel: Option<FaultToken>,
+    thread: JoinHandle<()>,
 }
 
-impl LeaseTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers the dispatch handle (and optional hang token) of `lease`.
-    pub fn register(&mut self, lease: u64, handle: DispatchHandle, token: Option<FaultToken>) {
-        self.entries.insert(lease, LeaseEntry { handle, token });
-    }
-
-    /// Drops `lease`'s entry; returns whether it was present.
-    pub fn release(&mut self, lease: u64) -> bool {
-        self.entries.remove(&lease).is_some()
-    }
-
-    /// Whether `lease` is registered.
-    pub fn contains(&self, lease: u64) -> bool {
-        self.entries.contains_key(&lease)
-    }
-
-    /// Registered leases.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no lease is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The registered leases, in ascending order. Crash handling walks
-    /// this to evict every in-flight dispatch before the scene capture.
-    pub fn leases(&self) -> Vec<u64> {
-        self.entries.keys().copied().collect()
-    }
-
-    /// Absolute `slateIdx` progress of `lease`, if registered.
-    pub fn progress(&self, lease: u64) -> Option<u64> {
-        self.entries.get(&lease).map(|e| e.handle.progress())
-    }
-
-    /// Carries out an execution command against the registered handle:
-    /// `Resize` adjusts the SM range mid-flight, `Evict` stops the
-    /// dispatch and cancels any hang token. Returns whether a handle was
-    /// found and acted on; every other command is a no-op.
-    pub fn apply(&self, cmd: &Command) -> bool {
-        match cmd {
-            Command::Resize { lease, range } => match self.entries.get(lease) {
-                Some(e) => {
-                    e.handle.resize(*range);
-                    true
-                }
-                None => false,
-            },
-            Command::Evict { lease } => match self.entries.get(lease) {
-                Some(e) => {
-                    e.handle.evict();
-                    if let Some(t) = &e.token {
-                        t.cancel();
-                    }
-                    true
-                }
-                None => false,
-            },
-            _ => false,
+impl Run {
+    /// Stops the dispatch and cancels the staging's token, so a
+    /// cooperatively hung kernel actually comes back.
+    fn evict(&self) {
+        self.handle.evict();
+        if let Some(t) = &self.cancel {
+            t.cancel();
         }
     }
 }
@@ -123,8 +66,8 @@ struct Job {
     start: u64,
     /// The last commanded SM range, once dispatched.
     range: Option<SmRange>,
-    /// The dispatch thread, while running or unjoined.
-    thread: Option<JoinHandle<()>>,
+    /// The dispatch, until its completion is polled.
+    run: Option<Run>,
     /// Final `(progress, ok)` once the completion was polled.
     finished: Option<(u64, bool)>,
 }
@@ -133,8 +76,7 @@ struct Job {
 pub struct DispatcherBackend {
     device: DeviceConfig,
     jobs: BTreeMap<u64, Job>,
-    leases: LeaseTable,
-    tx: Sender<Completion>,
+    notify: Notifier,
     rx: Receiver<Completion>,
     /// Whether the device is lost (hard, or flapping until `down_until`).
     lost: bool,
@@ -147,8 +89,6 @@ pub struct DispatcherBackend {
     /// Leases evicted by a device loss: their worker completions are
     /// rewritten as lost when they surface through [`Backend::poll`].
     lost_leases: BTreeSet<u64>,
-    /// Seeded device-fault schedule, fired on each dispatch.
-    device_plan: Option<FaultPlan>,
 }
 
 impl DispatcherBackend {
@@ -158,22 +98,40 @@ impl DispatcherBackend {
         Self {
             device,
             jobs: BTreeMap::new(),
-            leases: LeaseTable::new(),
-            tx,
+            notify: Notifier { tx, waker: None },
             rx,
             lost: false,
             down_until: None,
             degraded_until: None,
             lost_leases: BTreeSet::new(),
-            device_plan: None,
         }
     }
 
-    /// Attaches a seeded device-fault schedule: every dispatch fires the
-    /// plan's [`FaultSite::Device`] rules.
-    pub fn with_device_faults(mut self, plan: FaultPlan) -> Self {
-        self.device_plan = Some(plan);
-        self
+    /// Unparks `thread` whenever a completion becomes available to
+    /// [`Backend::poll`], so a driver parked between polls wakes on the
+    /// completion itself rather than on its next timeout.
+    pub(crate) fn wake_on_completion(&mut self, thread: Thread) {
+        self.notify.waker = Some(thread);
+    }
+
+    /// The leases staged or in flight (their completion not yet polled),
+    /// in ascending order.
+    pub(crate) fn live_leases(&self) -> Vec<u64> {
+        self.jobs
+            .iter()
+            .filter(|(_, j)| j.spec.is_some() || j.run.is_some())
+            .map(|(&lease, _)| lease)
+            .collect()
+    }
+
+    /// Drops the record of a lease whose completion was polled (its final
+    /// progress included); a no-op while it is staged or in flight. A
+    /// long-lived driver calls this once it consumed the completion, so
+    /// the backend holds only live leases.
+    pub(crate) fn release(&mut self, lease: u64) {
+        if self.jobs.get(&lease).is_some_and(|j| j.finished.is_some()) {
+            self.jobs.remove(&lease);
+        }
     }
 
     /// Health as of this instant: flap outages and degraded windows expire
@@ -199,15 +157,11 @@ impl DispatcherBackend {
     /// Evicts every in-flight dispatch as a device casualty; their worker
     /// completions surface as lost through [`Backend::poll`].
     fn lose_in_flight(&mut self) {
-        let in_flight: Vec<u64> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.thread.is_some() && j.finished.is_none())
-            .map(|(&lease, _)| lease)
-            .collect();
-        for lease in in_flight {
-            self.lost_leases.insert(lease);
-            self.leases.apply(&Command::Evict { lease });
+        for (&lease, job) in &self.jobs {
+            if let Some(run) = &job.run {
+                self.lost_leases.insert(lease);
+                run.evict();
+            }
         }
     }
 
@@ -215,11 +169,10 @@ impl DispatcherBackend {
     fn note(&mut self, c: Completion) {
         if let Some(job) = self.jobs.get_mut(&c.lease) {
             job.finished = Some((c.progress, c.ok));
-            if let Some(t) = job.thread.take() {
-                let _ = t.join();
+            if let Some(run) = job.run.take() {
+                let _ = run.thread.join();
             }
         }
-        self.leases.release(c.lease);
     }
 }
 
@@ -234,9 +187,7 @@ impl Backend for DispatcherBackend {
 
     fn stage(&mut self, lease: u64, spec: WorkSpec) {
         debug_assert!(
-            self.jobs
-                .get(&lease)
-                .is_none_or(|j| j.finished.is_some() || j.thread.is_none()),
+            self.jobs.get(&lease).is_none_or(|j| j.run.is_none()),
             "staging over an in-flight lease"
         );
         let start = spec.start;
@@ -246,7 +197,7 @@ impl Backend for DispatcherBackend {
                 spec: Some(spec),
                 start,
                 range: None,
-                thread: None,
+                run: None,
                 finished: None,
             },
         );
@@ -256,23 +207,6 @@ impl Backend for DispatcherBackend {
         match cmd {
             Command::Dispatch { lease, range } => {
                 self.settle();
-                // Each dispatch is one occurrence of the device fault
-                // site — the scheduled loss/stall/flap (if any) lands
-                // before the work does.
-                if let Some(plan) = self.device_plan.as_mut() {
-                    match plan.fire(FaultSite::Device, None) {
-                        Some(FaultKind::DeviceLoss) => {
-                            self.inject_device_fault(DeviceFault::Loss);
-                        }
-                        Some(FaultKind::DeviceStall { millis }) => {
-                            self.inject_device_fault(DeviceFault::Degraded { millis });
-                        }
-                        Some(FaultKind::DeviceFlap { down_ms }) => {
-                            self.inject_device_fault(DeviceFault::Flap { down_ms });
-                        }
-                        _ => {}
-                    }
-                }
                 let lost = self.current_health() == DeviceHealth::Lost;
                 let Some(job) = self.jobs.get_mut(lease) else {
                     return;
@@ -283,7 +217,8 @@ impl Backend for DispatcherBackend {
                 if lost {
                     // Dispatch into a dead device: lost on arrival, at
                     // whatever progress the staging carried.
-                    let _ = self.tx.send(Completion::device_lost(*lease, spec.start));
+                    self.notify
+                        .send(Completion::device_lost(*lease, spec.start));
                     return;
                 }
                 // Build the dispatcher directly on the commanded range: no
@@ -295,39 +230,46 @@ impl Backend for DispatcherBackend {
                     *range,
                     spec.start,
                 );
-                self.leases.register(*lease, d.handle(), None);
                 job.range = Some(*range);
-                let tx = self.tx.clone();
+                let handle = d.handle();
+                let notify = self.notify.clone();
                 let lease = *lease;
-                job.thread = Some(std::thread::spawn(move || {
+                let thread = std::thread::spawn(move || {
                     let out = d.run();
-                    let _ = tx.send(Completion {
+                    notify.send(Completion {
                         lease,
                         progress: out.blocks,
                         ok: !out.evicted,
                         lost: false,
                     });
-                }));
+                });
+                job.run = Some(Run {
+                    handle,
+                    cancel: spec.cancel,
+                    thread,
+                });
             }
             Command::Resize { lease, range } => {
-                if self.leases.apply(cmd) {
-                    if let Some(job) = self.jobs.get_mut(lease) {
+                if let Some(job) = self.jobs.get_mut(lease) {
+                    if let Some(run) = &job.run {
+                        run.handle.resize(*range);
                         job.range = Some(*range);
                     }
                 }
             }
             Command::Evict { lease } => {
-                if !self.leases.apply(cmd) {
-                    // No in-flight handle: evicting a staged-but-parked
-                    // lease still consumes the staging and reports the
-                    // eviction at its carried progress, exactly as the
-                    // simulation backend does — mass evacuation must be
-                    // able to move waiters, not just residents.
-                    if let Some(job) = self.jobs.get_mut(lease) {
-                        if job.spec.take().is_some() {
-                            let _ = self.tx.send(Completion::evicted(*lease, job.start));
-                        }
-                    }
+                let Some(job) = self.jobs.get_mut(lease) else {
+                    return;
+                };
+                if let Some(run) = &job.run {
+                    run.evict();
+                } else if job.spec.take().is_some() {
+                    // Evicting a staged-but-parked lease still consumes
+                    // the staging and reports the eviction at its carried
+                    // progress, exactly as the simulation backend does —
+                    // mass evacuation must be able to move waiters, not
+                    // just residents.
+                    self.notify.send(Completion::evicted(*lease, job.start));
                 }
             }
             Command::PromoteStarved { .. }
@@ -362,10 +304,11 @@ impl Backend for DispatcherBackend {
         let Some(job) = self.jobs.get(&lease) else {
             return 0;
         };
-        if let Some((p, _)) = job.finished {
-            return p;
+        match (&job.finished, &job.run) {
+            (Some((p, _)), _) => *p,
+            (None, Some(run)) => run.handle.progress(),
+            (None, None) => job.start,
         }
-        self.leases.progress(lease).unwrap_or(job.start)
     }
 
     fn held_range(&self, lease: u64) -> Option<SmRange> {

@@ -13,8 +13,8 @@
 //!   (`slate-gpu-sim`), the substrate behind
 //!   [`SlateRuntime`](crate::runtime::SlateRuntime);
 //! * [`DispatcherBackend`] — real persistent-worker threads through the
-//!   dispatch kernel of [`crate::dispatch`], the substrate behind
-//!   [`SlateDaemon`](crate::daemon::SlateDaemon).
+//!   dispatch kernel of [`crate::dispatch`]; the live
+//!   [`SlateDaemon`](crate::daemon::SlateDaemon) runs one per device.
 //!
 //! A third, test-only decorator — [`ChaosBackend`] — perturbs the command
 //! stream of any inner backend from a seeded
@@ -37,12 +37,13 @@ pub mod sim;
 pub mod testkit;
 
 pub use chaos::ChaosBackend;
-pub use dispatcher::{DispatcherBackend, LeaseTable};
+pub use dispatcher::DispatcherBackend;
 pub use sim::SimBackend;
 
 use crate::arbiter::Command;
 use crate::transform::TransformedKernel;
 use slate_gpu_sim::device::{DeviceConfig, SmRange};
+use slate_gpu_sim::fault::FaultToken;
 
 /// One unit of execution handed to a backend: a transformed kernel plus
 /// how to run it. Staged under a lease id, then started by a
@@ -58,6 +59,9 @@ pub struct WorkSpec {
     /// The relaunch path after an eviction re-stages the same kernel with
     /// the evicted completion's progress here.
     pub start: u64,
+    /// Token the backend cancels when it evicts this staging, so a kernel
+    /// cooperatively blocked on it (an injected hang) comes back.
+    pub cancel: Option<FaultToken>,
 }
 
 impl WorkSpec {
@@ -77,6 +81,16 @@ impl WorkSpec {
             kernel,
             task_size,
             start,
+            cancel: None,
+        }
+    }
+
+    /// The same work re-staged from `start` blocks of carried progress
+    /// (the relaunch after an eviction); the cancel token carries over.
+    pub(crate) fn resumed_at(&self, start: u64) -> Self {
+        Self {
+            cancel: self.cancel.clone(),
+            ..Self::resuming(self.kernel.clone(), self.task_size, start)
         }
     }
 

@@ -20,7 +20,11 @@
 //! * **device loss and recovery** — a hard loss surfaces in-flight leases
 //!   as *lost* completions with durable progress, the health probe
 //!   reports the outage, and the restored device drains exactly the
-//!   remaining blocks.
+//!   remaining blocks;
+//! * **eviction cancels the staging's token** (functional backends,
+//!   outside [`run_conformance`]) — a kernel blocked on its
+//!   [`WorkSpec::cancel`] token comes back from an eviction at its
+//!   carried progress.
 //!
 //! Functional backends ([`Backend::is_functional`]) additionally prove
 //! block coverage through kernel-visible side effects (a hit-count
@@ -33,6 +37,7 @@ use crate::arbiter::{Command, Event as ArbEvent, EventLog};
 use crate::transform::TransformedKernel;
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_gpu_sim::device::SmRange;
+use slate_gpu_sim::fault::FaultToken;
 use slate_gpu_sim::perf::KernelPerf;
 use slate_kernels::grid::{BlockCoord, GridDim};
 use slate_kernels::kernel::GpuKernel;
@@ -48,11 +53,14 @@ const DRIVE_MS: u64 = 120_000;
 /// its own hit cell (coverage proof on functional backends) and optionally
 /// busy-waits `delay_us` so churn commands land mid-flight. The simulated
 /// perf cost mirrors the functional delay, so both backend families see
-/// comparably long-running kernels.
+/// comparably long-running kernels. With a `token`, every block first
+/// blocks on it — the functional model of a hung kernel only an eviction
+/// brings back.
 struct ChurnCounter {
     grid: GridDim,
     hits: Arc<GpuBuffer>,
     delay_us: u64,
+    token: Option<FaultToken>,
 }
 
 impl GpuKernel for ChurnCounter {
@@ -72,6 +80,9 @@ impl GpuKernel for ChurnCounter {
         )
     }
     fn run_block(&self, b: BlockCoord) {
+        if let Some(t) = &self.token {
+            t.block_until_cancelled();
+        }
         self.hits.fetch_add_u32(self.grid.flat_of(b) as usize, 1);
         if self.delay_us > 0 {
             std::thread::sleep(std::time::Duration::from_micros(self.delay_us));
@@ -89,6 +100,7 @@ pub fn counter_kernel(blocks: u32, delay_us: u64) -> (TransformedKernel, Arc<Gpu
             grid,
             hits: hits.clone(),
             delay_us,
+            token: None,
         })),
         hits,
     )
@@ -447,6 +459,64 @@ pub fn device_loss_recovery_exactly_once(b: &mut dyn Backend) {
     assert_eq!(b.progress(6), u64::from(total));
     if b.is_functional() {
         assert_exactly_once(&hits, u64::from(total));
+    }
+}
+
+/// Scenario (functional backends): a staging resumed from carried
+/// progress carries a cancel token its kernel blocks on. Nothing but the
+/// eviction may cancel it; after the eviction exactly one evicted
+/// completion comes back at the carried progress, and re-staging from
+/// there drains exactly the remaining blocks.
+pub fn evict_cancels_blocked_kernel(b: &mut dyn Backend) {
+    assert!(b.is_functional(), "the scenario needs real block bodies");
+    let n = b.device().num_sms;
+    let total: u32 = 2_000;
+    let start: u64 = 500;
+    let grid = GridDim::d1(total);
+    let hits = Arc::new(GpuBuffer::new(total as usize * 4));
+    let token = FaultToken::new();
+    let k = TransformedKernel::new(Arc::new(ChurnCounter {
+        grid,
+        hits: hits.clone(),
+        delay_us: 0,
+        token: Some(token.clone()),
+    }));
+    b.stage(
+        8,
+        WorkSpec {
+            cancel: Some(token.clone()),
+            ..WorkSpec::resuming(k.clone(), 1, start)
+        },
+    );
+    b.apply(&Command::Dispatch {
+        lease: 8,
+        range: SmRange::all(n),
+    });
+    b.advance(2);
+    assert!(!token.is_cancelled(), "only the eviction cancels the token");
+    b.apply(&Command::Evict { lease: 8 });
+    let cs = b.drive_until(8, DRIVE_MS);
+    assert_eq!(cs.len(), 1, "exactly one completion: {cs:?}");
+    let c = cs[0];
+    assert!(token.is_cancelled(), "the eviction cancels the token");
+    assert!(!c.ok, "a kernel blocked on its token cannot drain: {c:?}");
+    assert!(
+        (start..u64::from(total)).contains(&c.progress),
+        "evicted at the carried progress: {c:?}"
+    );
+    assert_eq!(b.progress(8), c.progress);
+    b.stage(8, WorkSpec::resuming(k, 1, c.progress));
+    b.apply(&Command::Dispatch {
+        lease: 8,
+        range: SmRange::all(n),
+    });
+    let cs = b.drive_until(8, DRIVE_MS);
+    assert_eq!(cs.len(), 1, "exactly one completion: {cs:?}");
+    assert!(cs[0].ok, "the resumed staging drains");
+    assert_eq!(cs[0].progress, u64::from(total));
+    for i in 0..u64::from(total) {
+        let want = u32::from(i >= start);
+        assert_eq!(hits.load_u32(i as usize), want, "block {i} hit count");
     }
 }
 

@@ -21,11 +21,15 @@
 //! [`ArbiterCore`](crate::arbiter::ArbiterCore). The daemon is a thin
 //! driver: wire requests and a 1 ms heartbeat become
 //! [`Event`](crate::arbiter::Event)s stamped with a monotonic logical
-//! clock, and the returned [`Command`]s are
-//! carried out against dispatch handles, the memory pool, and client
-//! replies. With [`DaemonOptions::record_arbiter`] set, every fed batch is
-//! recorded; the resulting [`EventLog`] replays to the byte-identical
-//! command sequence (see [`crate::arbiter::replay`]) — the simulated
+//! clock. Every routed `Dispatch`/`Resize`/`Evict` is carried out by
+//! [`Backend::apply`] on the device's [`DispatcherBackend`] — the
+//! execution seam the backend conformance suite tests — and the
+//! backends' completions come back as `KernelFinished` events (a migrated
+//! kernel re-staged on its target at the carried `slateIdx`); shed
+//! rejections become client replies. With
+//! [`DaemonOptions::record_arbiter`] set, every fed batch is recorded;
+//! the resulting [`EventLog`] replays to the byte-identical command
+//! sequence (see [`crate::arbiter::replay`]) — the simulated
 //! [`SlateRuntime`](crate::runtime::SlateRuntime) drives the very same
 //! core, so both frontends make identical decisions for identical event
 //! streams.
@@ -93,9 +97,8 @@
 
 use crate::admission::{AdmissionLimits, AdmissionStats, DaemonMetrics, FleetAdmissionConfig};
 use crate::arbiter::{ArbiterConfig, Command, Event as ArbEvent, EventLog};
-use crate::backend::LeaseTable;
+use crate::backend::{Backend, Completion, DispatcherBackend, WorkSpec};
 use crate::channel::{LaunchCmd, Request, Response, SlatePtr};
-use crate::dispatch::{DispatchHandle, Dispatcher};
 use crate::durability::{recover_dir, Durability, DurabilityOptions, DurableMeta, WalRecord};
 use crate::error::SlateError;
 use crate::feed::{ring as feed_ring, EventBatch, RingConsumer, RingProducer};
@@ -112,7 +115,7 @@ use crate::transform::TransformedKernel;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use serde::{Deserialize, Serialize};
 use slate_gpu_sim::buffer::{DeviceMemoryPool, DevicePtr, GpuBuffer};
-use slate_gpu_sim::device::{DeviceConfig, SmRange};
+use slate_gpu_sim::device::DeviceConfig;
 use slate_gpu_sim::fault::{FaultKind, FaultPlan, FaultSite, FaultToken};
 use slate_gpu_sim::workqueue::HyperQ;
 use slate_kernels::workload::SloClass;
@@ -129,20 +132,45 @@ struct ArbInner {
     /// deterministic routing of [`PlacementLayer`]. A single-device daemon
     /// is the degenerate N=1 layer and behaves exactly as before.
     layer: PlacementLayer,
-    /// Dispatch grants awaiting pickup by their `execute_kernel` thread:
-    /// lease → (device index, granted SM range). Ordered map so any
-    /// iteration over pending grants is deterministic. (Dense-slot rule,
-    /// `DESIGN.md` §17: an ordered map off the per-event hot path stays a
-    /// map; only decision-path tables moved to interned `IdTable` slots,
-    /// and any slot iteration that reaches output must sort by external
-    /// id first.)
-    grants: BTreeMap<u64, (usize, SmRange)>,
-    /// Dispatch handles of waiting/resident leases — the shared
-    /// backend-layer interpretation of `Resize`/`Evict` against dispatch
-    /// handles (including the injected-hang token cancel on eviction), the
-    /// same table [`crate::backend::DispatcherBackend`] executes with.
-    /// Leases are fleet-unique, so one table serves every device.
-    leases: LeaseTable,
+    /// One execution backend per device, in placement-layer index order:
+    /// every routed `Dispatch`/`Resize`/`Evict` is carried out by its
+    /// device's [`Backend::apply`], as
+    /// [`MultiSim`](crate::placement::multi::MultiSim) drives its fleet.
+    backends: Vec<DispatcherBackend>,
+    /// Launches staged on a backend and not yet collected by their
+    /// waiting thread, by lease (a lease is one in-order (session,
+    /// stream) queue, so it has at most one launch in flight). Ordered
+    /// map off the per-event hot path (dense-slot rule, `DESIGN.md` §17).
+    launches: BTreeMap<u64, Launch>,
+    /// Reusable reply buffer for the feeds the consumer makes itself on a
+    /// completion.
+    scratch: Vec<RoutedCommand>,
+}
+
+/// A launch the consumer thread drives from staging to its outcome,
+/// across any migrations in between.
+struct Launch {
+    launch_id: u64,
+    /// The staging; a migration re-stages it at the carried progress.
+    spec: WorkSpec,
+    /// The readiness announcement, re-fed after a migration.
+    ready: ArbEvent,
+    /// Set once the launch settled.
+    outcome: Option<Outcome>,
+}
+
+/// How a launch's last staging ended.
+#[derive(Clone, Copy)]
+struct Outcome {
+    /// Absolute `slateIdx` progress at exit.
+    progress: u64,
+    /// Drained (every block executed), as opposed to evicted.
+    ok: bool,
+    /// Whether its `KernelFinished` reached the core — `false` when the
+    /// daemon crashed first and the launch must be parked for adoption.
+    fed: bool,
+    /// The device it last ran on.
+    device: usize,
 }
 
 /// How many submissions the arbiter feed ring holds before producers
@@ -167,6 +195,7 @@ impl FeedCell {
             state: Mutex::new(CellState {
                 batch: EventBatch::new(),
                 meta: None,
+                launch: None,
                 session: None,
                 detached: false,
                 fed: false,
@@ -186,6 +215,10 @@ struct CellState {
     /// `connect` (the session-meta record must not be separable from its
     /// admission feed by a crash).
     meta: Option<WalRecord>,
+    /// A launch to stage on its lease's device right before the batch
+    /// (its `KernelReady`) is fed — under the same lock, so the staging
+    /// lands on the device the ready event is routed to.
+    launch: Option<(u64, Launch)>,
     /// Session whose shed rejection the submitter wants surfaced as a
     /// retry hint.
     session: Option<u64>,
@@ -219,8 +252,9 @@ struct ArbShared {
     /// tick stream stays monotonic across epochs.
     base_us: u64,
     inner: Mutex<ArbInner>,
-    /// Signalled after every feed; `wait_grant` blocks on it.
-    granted: Condvar,
+    /// Signalled whenever a launch settles; its waiting thread blocks on
+    /// it.
+    settled: Condvar,
     /// Raised by [`SlateDaemon::crash`] *under the arbiter lock*: every
     /// later feed becomes a no-op (`fed == false`), which is what keeps
     /// the WAL and the in-memory core in lockstep at the kill point.
@@ -239,43 +273,38 @@ impl ArbShared {
         self.base_us + self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Consumes one cell: feeds its batch to the placement layer, appends
-    /// to the WAL, carries out the routed commands, and completes or
-    /// recycles the cell. This is the only place the arbiter lock is held
-    /// across layer work — producers only pin it long enough to read.
+    /// Consumes one cell: stages its launch, feeds its batch, appends to
+    /// the WAL, carries out the routed commands, and completes or
+    /// recycles the cell. This and [`ArbShared::poll_completions`] are
+    /// the only places the arbiter lock is held across layer work —
+    /// producers only pin it long enough to read.
     fn consume(&self, cell: &Arc<FeedCell>, pool: &Mutex<Vec<Arc<FeedCell>>>) {
-        let mut st = cell.state.lock();
+        let mut guard = cell.state.lock();
+        let st = &mut *guard;
         {
             let mut inner = self.inner.lock();
             if self.crashed.load(Ordering::SeqCst) {
                 // Crashed under this same lock: nothing consumed after
-                // the kill point may touch the core or the (frozen) WAL.
+                // the kill point may touch the core, the backends or the
+                // (frozen) WAL.
                 st.fed = false;
                 st.retry_after_ms = None;
                 st.meta = None;
+                st.launch = None;
                 st.batch.replies.clear();
             } else {
-                let now = self.now_us();
-                let EventBatch { events, replies } = &mut st.batch;
-                inner.layer.feed_into(now, events, replies);
-                if let Some(d) = &self.durability {
-                    // Heartbeat filter (same rule as the in-memory
-                    // recorder): an all-tick batch that routed nothing
-                    // changes no state and would swamp the log.
-                    let heartbeat_only = events.iter().all(|e| matches!(e, ArbEvent::DeadlineTick));
-                    if !(heartbeat_only && replies.is_empty()) {
-                        let layer = &inner.layer;
-                        let batch = PlacementBatch {
-                            // The layer clamps time monotonic; record the
-                            // clamped tick so replay feeds exactly what
-                            // the core saw.
-                            at: layer.now(),
-                            events: events.clone(),
-                            routed: replies.clone(),
-                        };
-                        d.append_batch(&batch, || layer.snapshot());
-                    }
+                if let Some((lease, launch)) = st.launch.take() {
+                    // The device the ready event routes to: the lease's,
+                    // or its session's until the lease itself is routed.
+                    let layer = &inner.layer;
+                    let device = layer
+                        .device_of_lease(lease)
+                        .or_else(|| layer.device_of_session(lease >> 16))
+                        .unwrap_or(0);
+                    inner.backends[device].stage(lease, launch.spec.clone());
+                    inner.launches.insert(lease, launch);
                 }
+                self.feed(&mut inner, &st.batch.events, &mut st.batch.replies);
                 st.fed = true;
                 st.retry_after_ms = st.session.and_then(|s| shed_retry(&st.batch.replies, s));
                 if let Some(meta) = st.meta.take() {
@@ -287,75 +316,162 @@ impl ArbShared {
                         }
                     }
                 }
-                for r in &st.batch.replies {
-                    match &r.command {
-                        Command::Dispatch { lease, range } => {
-                            inner.grants.insert(*lease, (r.device, *range));
-                        }
-                        Command::Resize { .. } | Command::Evict { .. } => {
-                            inner.leases.apply(&r.command);
-                        }
-                        // Rejections are surfaced via `retry_after_ms`;
-                        // promotion, preemption and reaping are
-                        // informational here (the paired Resize/Dispatch
-                        // in the same batch carry the state changes).
-                        Command::PromoteStarved { .. }
-                        | Command::Preempt { .. }
-                        | Command::Reap { .. }
-                        | Command::RejectOverloaded { .. } => {}
-                    }
-                }
             }
-            self.granted.notify_all();
         }
         st.phase = CellPhase::Done;
         if st.detached {
             st.batch.clear();
-            drop(st);
+            drop(guard);
             pool.lock().push(cell.clone());
         } else {
-            drop(st);
+            drop(guard);
             cell.done.notify_all();
+        }
+    }
+
+    /// Feeds one batch to the placement layer, appends it to the WAL, and
+    /// carries out every routed command on its device's backend
+    /// (rejections surface through `retry_after_ms`; promotion,
+    /// preemption and reaping are informational to execution).
+    fn feed(&self, inner: &mut ArbInner, events: &[ArbEvent], replies: &mut Vec<RoutedCommand>) {
+        inner.layer.feed_into(self.now_us(), events, replies);
+        if let Some(d) = &self.durability {
+            // Heartbeat filter (same rule as the in-memory recorder): an
+            // all-tick batch that routed nothing changes no state and
+            // would swamp the log.
+            let heartbeat_only = events.iter().all(|e| matches!(e, ArbEvent::DeadlineTick));
+            if !(heartbeat_only && replies.is_empty()) {
+                let layer = &inner.layer;
+                let batch = PlacementBatch {
+                    // The layer clamps time monotonic; record the clamped
+                    // tick so replay feeds exactly what the core saw.
+                    at: layer.now(),
+                    events: events.to_vec(),
+                    routed: replies.clone(),
+                };
+                d.append_batch(&batch, || layer.snapshot());
+            }
+        }
+        for r in replies.iter() {
+            inner.backends[r.device].apply(&r.command);
+        }
+    }
+
+    /// [`ArbShared::feed`] of one event the consumer raises itself.
+    fn feed_one(&self, inner: &mut ArbInner, event: ArbEvent) {
+        let mut replies = std::mem::take(&mut inner.scratch);
+        self.feed(inner, std::slice::from_ref(&event), &mut replies);
+        inner.scratch = replies;
+    }
+
+    /// Drains every backend's completions, settling or migrating their
+    /// launches. Returns whether any arrived.
+    fn poll_completions(&self) -> bool {
+        let mut inner = self.inner.lock();
+        let mut any = false;
+        for device in 0..inner.backends.len() {
+            while let Some(c) = inner.backends[device].poll() {
+                inner.backends[device].release(c.lease);
+                self.complete(&mut inner, device, c);
+                any = true;
+            }
+        }
+        if any {
+            self.settled.notify_all();
+        }
+        any
+    }
+
+    /// One completion, as `MultiSim` handles it: a drain writes
+    /// `LaunchDone` ahead of its `KernelFinished`; an eviction with a
+    /// pending migration re-stages at the carried progress on the target
+    /// and re-announces readiness; anything else settles the launch.
+    /// After a crash nothing is fed: the launch settles unfed at the
+    /// progress its completion carries.
+    fn complete(&self, inner: &mut ArbInner, device: usize, c: Completion) {
+        let lease = c.lease;
+        let Some(launch) = inner.launches.get_mut(&lease) else {
+            return;
+        };
+        let mut outcome = Outcome {
+            progress: c.progress,
+            ok: c.ok,
+            fed: false,
+            device,
+        };
+        if self.crashed.load(Ordering::SeqCst) {
+            launch.outcome = Some(outcome);
+            return;
+        }
+        if c.ok {
+            // Durable point of no return: once `LaunchDone` is on disk
+            // the launch never re-executes, even if the completion feed
+            // below loses the race against a crash.
+            if let Some(d) = &self.durability {
+                d.append_meta(&WalRecord::LaunchDone {
+                    session: lease >> 16,
+                    launch_id: launch.launch_id,
+                });
+            }
+        }
+        // A migration target must be read before KernelFinished lands:
+        // that feed completes the migration and flips the lease's route.
+        let target = inner.layer.migration_target(lease).filter(|_| !c.ok);
+        self.feed_one(inner, ArbEvent::KernelFinished { lease, ok: c.ok });
+        let launch = inner.launches.get_mut(&lease).expect("launch is live");
+        match target {
+            Some(dst) => {
+                let (spec, ready) = (launch.spec.resumed_at(c.progress), launch.ready.clone());
+                inner.backends[dst].stage(lease, spec);
+                self.feed_one(inner, ready);
+            }
+            None => {
+                outcome.fed = true;
+                launch.outcome = Some(outcome);
+            }
         }
     }
 }
 
-/// The arbiter consumer loop: drains the submit ring, parking briefly
-/// when idle (producers unpark it on push, so the latency of a submit is
-/// a wakeup, not a poll interval).
+/// The arbiter consumer loop: drains the submit ring and the backends'
+/// completions, parking briefly when idle (producers unpark it on push and
+/// backends on completion, so the latency of either is a wakeup, not a
+/// poll interval).
 fn run_consumer(
     sh: Arc<ArbShared>,
     mut rx: RingConsumer<Arc<FeedCell>>,
     pool: Arc<Mutex<Vec<Arc<FeedCell>>>>,
 ) {
     loop {
-        let mut drained = false;
+        let mut busy = false;
         while let Some(cell) = rx.pop() {
-            drained = true;
+            busy = true;
             sh.consume(&cell, &pool);
         }
+        busy |= sh.poll_completions();
         if sh.stop.load(Ordering::Acquire) && rx.is_empty() {
             // Shutdown drain: the flag is only raised once no producer
             // can push, so an empty ring here means exactly-once — every
             // submitted batch was consumed, none will arrive later.
             break;
         }
-        if !drained {
+        if !busy {
             std::thread::park_timeout(Duration::from_micros(200));
         }
     }
 }
 
 /// The daemon's driver for the placement layer over the shared per-device
-/// arbitration cores. Submitting threads fill pooled [`FeedCell`]s and
-/// hand them to a dedicated consumer thread over a bounded lock-free
-/// SPSC ring ([`crate::feed::ring`]); the consumer stamps each batch
-/// with the monotonic microsecond clock, feeds the layer, appends to the
-/// WAL, carries out the routed commands (resize and evict act on
-/// dispatch handles immediately; dispatch grants are parked for the
-/// waiting kernel thread together with their device), and wakes grant
-/// waiters. Steady state, a submission allocates nothing — cells and
-/// their buffers are reused at their high-water size.
+/// arbitration cores and their execution backends. Submitting threads
+/// fill pooled [`FeedCell`]s and hand them to a dedicated consumer thread
+/// over a bounded lock-free SPSC ring ([`crate::feed::ring`]); the
+/// consumer stamps each batch with the monotonic microsecond clock,
+/// stages any launch it carries, feeds the layer, appends to the WAL, and
+/// applies the routed commands to one [`DispatcherBackend`] per device.
+/// It also polls the backends' completions (each backend unparks it on
+/// one) and settles, migrates or parks their launches. Steady state, a
+/// submission allocates nothing — cells and their buffers are reused at
+/// their high-water size.
 struct ArbFrontend {
     sh: Arc<ArbShared>,
     /// Producer endpoint of the submit ring. The mutex serializes the
@@ -380,29 +496,26 @@ impl Drop for ArbFrontend {
     }
 }
 
-/// Outcome of [`ArbFrontend::wait_grant`]: either a granted SM range, or
-/// the daemon crashed while the kernel was queued.
-enum GrantWait {
-    /// Granted (device index, SM range).
-    Granted(usize, SmRange),
-    /// The daemon crashed. `ready_fed` tells whether this kernel's
-    /// [`ArbEvent::KernelReady`] made it into the core (and the WAL)
-    /// before the kill — adoption must feed a clearing `KernelFinished`
-    /// exactly when it did.
-    Crashed { ready_fed: bool },
-}
-
 impl ArbFrontend {
-    fn new(layer: PlacementLayer, base_us: u64, durability: Option<Arc<Durability>>) -> Self {
+    fn new(
+        layer: PlacementLayer,
+        devices: &[DeviceConfig],
+        base_us: u64,
+        durability: Option<Arc<Durability>>,
+    ) -> Self {
         let sh = Arc::new(ArbShared {
             epoch: Instant::now(),
             base_us,
             inner: Mutex::new(ArbInner {
                 layer,
-                grants: BTreeMap::new(),
-                leases: LeaseTable::new(),
+                backends: devices
+                    .iter()
+                    .map(|d| DispatcherBackend::new(d.clone()))
+                    .collect(),
+                launches: BTreeMap::new(),
+                scratch: Vec::new(),
             }),
-            granted: Condvar::new(),
+            settled: Condvar::new(),
             crashed: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             durability,
@@ -418,6 +531,9 @@ impl ArbFrontend {
                 .expect("spawn arbiter consumer thread")
         };
         let consumer_thread = consumer.thread().clone();
+        for b in &mut sh.inner.lock().backends {
+            b.wake_on_completion(consumer_thread.clone());
+        }
         Self {
             sh,
             submit: Mutex::new(tx),
@@ -465,12 +581,14 @@ impl ArbFrontend {
     /// must treat the events as never having happened) and, when
     /// `session` is given, the retry hint if that session's request was
     /// shed. `meta` is appended to the WAL atomically with the batch,
-    /// unless the batch was shed or unfed.
+    /// unless the batch was shed or unfed; `launch` is staged right
+    /// before the batch is fed, unless it is unfed.
     fn submit(
         &self,
         events: &[ArbEvent],
         session: Option<u64>,
         meta: Option<WalRecord>,
+        launch: Option<(u64, Launch)>,
     ) -> (bool, Option<u64>) {
         let cell = self.checkout();
         {
@@ -479,6 +597,7 @@ impl ArbFrontend {
             st.batch.events.extend_from_slice(events);
             st.session = session;
             st.meta = meta;
+            st.launch = launch;
             st.detached = false;
             st.fed = false;
             st.retry_after_ms = None;
@@ -500,7 +619,7 @@ impl ArbFrontend {
     /// Feeds one batch to the placement layer and carries out the routed
     /// commands, ignoring the outcome. After a crash this is a no-op.
     fn feed(&self, events: &[ArbEvent]) {
-        let _ = self.submit(events, None, None);
+        let _ = self.submit(events, None, None, None);
     }
 
     /// Fire-and-forget heartbeat tick. When the ring is full the tick is
@@ -514,6 +633,7 @@ impl ArbFrontend {
             st.batch.events.push(ArbEvent::DeadlineTick);
             st.session = None;
             st.meta = None;
+            st.launch = None;
             st.detached = true;
             st.fed = false;
             st.retry_after_ms = None;
@@ -532,74 +652,48 @@ impl ArbFrontend {
         }
     }
 
-    /// The device `lease` currently routes to (its session's device, or
-    /// the migration target after a rebalance eviction landed).
-    fn lease_device(&self, lease: u64) -> usize {
-        let inner = self.sh.inner.lock();
-        inner
-            .layer
-            .device_of_lease(lease)
-            .or_else(|| inner.layer.device_of_session(lease >> 16))
-            .unwrap_or(0)
-    }
-
-    /// The in-flight migration target of `lease`, if a rebalance eviction
-    /// is pending for it. Must be read *before* feeding the eviction's
-    /// `KernelFinished` (which completes the migration and clears it).
-    fn migration_target(&self, lease: u64) -> Option<usize> {
-        self.sh.inner.lock().layer.migration_target(lease)
-    }
-
     /// The placement layer's health state for `device`.
     fn device_health(&self, device: usize) -> HealthState {
         self.sh.inner.lock().layer.health_of(device)
     }
 
-    /// Registers the kernel's dispatch handle, announces it ready, and
-    /// blocks until its device's core grants it an SM range. The handle
-    /// is registered before the ready event is submitted, so the consumer
-    /// always finds it when the grant's commands need applying. The wait
-    /// is bounded (the 1 ms heartbeat re-runs scheduling anyway), so a
-    /// lost wakeup during teardown cannot wedge the thread; a crash
-    /// unblocks every waiter with [`GrantWait::Crashed`].
-    fn wait_grant(
+    /// Stages `spec` on its lease's device, announces it `ready`, and
+    /// blocks until the launch settles (drained, or evicted with no
+    /// migration target). `None` means the daemon crashed before the
+    /// ready event reached the core. The wait is bounded per round (the
+    /// consumer settles every launch, a crash included, through a
+    /// completion), so a lost wakeup cannot wedge the thread.
+    fn launch(
         &self,
         lease: u64,
+        launch_id: u64,
+        spec: WorkSpec,
         ready: ArbEvent,
-        handle: DispatchHandle,
-        token: Option<FaultToken>,
-    ) -> GrantWait {
-        self.sh.inner.lock().leases.register(lease, handle, token);
-        let (fed, _) = self.submit(std::slice::from_ref(&ready), None, None);
+    ) -> Option<Outcome> {
+        let launch = Launch {
+            launch_id,
+            spec,
+            ready: ready.clone(),
+            outcome: None,
+        };
+        let (fed, _) = self.submit(&[ready], None, None, Some((lease, launch)));
         if !fed {
-            self.sh.inner.lock().leases.release(lease);
-            return GrantWait::Crashed { ready_fed: false };
+            return None;
         }
         let mut inner = self.sh.inner.lock();
         loop {
-            if let Some((device, range)) = inner.grants.remove(&lease) {
-                return GrantWait::Granted(device, range);
-            }
-            if self.crashed() {
-                inner.leases.release(lease);
-                return GrantWait::Crashed { ready_fed: true };
+            if inner
+                .launches
+                .get(&lease)
+                .is_some_and(|l| l.outcome.is_some())
+            {
+                return inner.launches.remove(&lease).and_then(|l| l.outcome);
             }
             let _ = self
                 .sh
-                .granted
+                .settled
                 .wait_for(&mut inner, Duration::from_millis(5));
         }
-    }
-
-    /// Reports the dispatch finished (drained, faulted or evicted) and
-    /// drops its handle; the lease's core re-schedules (survivor regrow,
-    /// next waiter dispatch) in the same feed. Returns whether the finish
-    /// actually landed — `false` means the daemon crashed first and the
-    /// launch must be parked for adoption instead.
-    fn finish(&self, lease: u64, ok: bool) -> bool {
-        self.sh.inner.lock().leases.release(lease);
-        let (fed, _) = self.submit(&[ArbEvent::KernelFinished { lease, ok }], None, None);
-        fed
     }
 }
 
@@ -668,11 +762,9 @@ pub struct ResumeToken {
 
 /// Shared daemon state.
 struct DaemonShared {
-    /// The primary device (`devices[0]`): kernel profiling and the
-    /// injected-source pipeline are calibrated against it.
+    /// The primary device (the fleet's device 0): kernel profiling and
+    /// the injected-source pipeline are calibrated against it.
     cfg: DeviceConfig,
-    /// The full device fleet, in placement-layer index order.
-    devices: Vec<DeviceConfig>,
     pool: Mutex<DeviceMemoryPool>,
     injector: Mutex<InjectionCache>,
     profiles: Mutex<ProfileTable>,
@@ -894,13 +986,13 @@ impl SlateDaemon {
         if options.record_arbiter || options.trace_path.is_some() {
             layer.start_recording();
         }
+        let arb = ArbFrontend::new(layer, &devices, 0, durability.clone());
         let shared = Arc::new(DaemonShared {
             cfg: devices[0].clone(),
-            devices,
             pool: Mutex::new(DeviceMemoryPool::new(mem_capacity)),
             injector: Mutex::new(InjectionCache::new()),
             profiles: Mutex::new(options.profiles),
-            arb: ArbFrontend::new(layer, 0, durability.clone()),
+            arb,
             launches: Mutex::new(0),
             hyperq: Mutex::new(HyperQ::with_default_connections()),
             faults: Mutex::new(options.fault_plan),
@@ -982,7 +1074,7 @@ impl SlateDaemon {
                 });
             }
             events.push(ArbEvent::SessionOpened { session });
-            let (fed, retry) = self.shared.arb.submit(&events, Some(session), meta);
+            let (fed, retry) = self.shared.arb.submit(&events, Some(session), meta, None);
             if !fed {
                 return Err(SlateError::ShuttingDown);
             }
@@ -1007,7 +1099,7 @@ impl SlateDaemon {
                 shared.session_drained.notify_all();
             })
             .expect("spawn session thread");
-        self.sessions.lock().push(handle);
+        self.track_session(handle);
         Ok(Connection {
             session,
             epoch: self.epoch(),
@@ -1015,6 +1107,23 @@ impl SlateDaemon {
             tx: tx_req,
             rx: rx_resp,
         })
+    }
+
+    /// Keeps `handle` for [`SlateDaemon::join`], first joining and
+    /// dropping the handles of session threads that already finished — an
+    /// unjoined thread keeps its stack, so a long-lived daemon would
+    /// otherwise grow with every session it ever served.
+    fn track_session(&self, handle: JoinHandle<()>) {
+        let mut sessions = self.sessions.lock();
+        let mut i = 0;
+        while i < sessions.len() {
+            if sessions[i].is_finished() {
+                let _ = sessions.swap_remove(i).join();
+            } else {
+                i += 1;
+            }
+        }
+        sessions.push(handle);
     }
 
     /// The daemon's recovery epoch: 0 at first start, incremented by every
@@ -1275,19 +1384,21 @@ impl SlateDaemon {
     /// the [`CrashScene`] for [`SlateDaemon::recover`].
     pub fn crash(&self) -> CrashScene {
         {
-            let inner = self.shared.arb.sh.inner.lock();
+            let mut inner = self.shared.arb.sh.inner.lock();
             self.shared.arb.sh.crashed.store(true, Ordering::SeqCst);
             self.shared.shutting_down.store(true, Ordering::Release);
             if let Some(d) = &self.shared.durability {
                 d.freeze();
             }
-            // Evict every in-flight dispatch: workers observe the retreat
-            // flag at their next block boundary and the run() calls return
-            // with carried progress.
-            for lease in inner.leases.leases() {
-                inner.leases.apply(&Command::Evict { lease });
+            // Evict every staged or running lease through its backend:
+            // workers observe the retreat flag at their next block
+            // boundary, and each waiting thread deposits the progress its
+            // completion carries.
+            for b in &mut inner.backends {
+                for lease in b.live_leases() {
+                    b.apply(&Command::Evict { lease });
+                }
             }
-            self.shared.arb.sh.granted.notify_all();
         }
         self.join();
         let inflight = std::mem::take(&mut *self.shared.crash_inflight.lock());
@@ -1334,13 +1445,13 @@ impl SlateDaemon {
         if options.record_arbiter || options.trace_path.is_some() {
             layer.start_recording();
         }
+        let arb = ArbFrontend::new(layer, &devices, base_us, Some(durability.clone()));
         let shared = Arc::new(DaemonShared {
             cfg: devices[0].clone(),
-            devices,
             pool: Mutex::new(scene.pool),
             injector: Mutex::new(InjectionCache::new()),
             profiles: Mutex::new(options.profiles),
-            arb: ArbFrontend::new(layer, base_us, Some(durability.clone())),
+            arb,
             launches: Mutex::new(0),
             hyperq: Mutex::new(HyperQ::with_default_connections()),
             faults: Mutex::new(options.fault_plan),
@@ -1455,7 +1566,7 @@ impl SlateDaemon {
                 shared.session_drained.notify_all();
             })
             .expect("spawn session thread");
-        self.sessions.lock().push(handle);
+        self.track_session(handle);
         Ok(Connection {
             session,
             epoch,
@@ -1586,8 +1697,8 @@ impl SessionState {
 
 /// A launch job forwarded to a stream worker thread. Admission already
 /// happened at request time ([`ArbEvent::LaunchRequested`]); the lane's
-/// `execute_kernel` completes it by feeding
-/// [`ArbEvent::KernelFinished`].
+/// `execute_kernel` completes it, and a final
+/// [`ArbEvent::KernelFinished`] balances the gauges.
 struct StreamJob {
     launch_id: u64,
     kernel: Arc<dyn slate_kernels::kernel::GpuKernel>,
@@ -1720,6 +1831,7 @@ fn session_loop(
                     }],
                     Some(session),
                     None,
+                    None,
                 );
                 match retry {
                     Some(retry) => Response::Err(
@@ -1819,6 +1931,7 @@ fn session_loop(
                                 deadline_ms,
                             }],
                             Some(session),
+                            None,
                             None,
                         );
                         if !fed {
@@ -2016,23 +2129,23 @@ impl slate_kernels::kernel::GpuKernel for HungKernel {
     }
 }
 
-/// Profiles, transforms and dispatches a prepared kernel under the shared
-/// arbitration core. `lease` identifies the (session, stream) queue.
-/// `deadline_ms` (or the daemon default) arms the core's watchdog at
-/// dispatch; past it the kernel is evicted and `SlateError::Timeout`
-/// returned. Every admitted launch — including one that dies to an
-/// injected fault before dispatch — feeds a final
-/// [`ArbEvent::KernelFinished`], which is what balances the admission
-/// gauges.
+/// Profiles and transforms a prepared kernel, stages it on its lease's
+/// device backend and waits for the outcome. `lease` identifies the
+/// (session, stream) queue. `deadline_ms` (or the daemon default) arms
+/// the core's watchdog at dispatch; past it the kernel is evicted and
+/// `SlateError::Timeout` returned. Every admitted launch — including one
+/// that dies to an injected fault before dispatch — ends in a final
+/// [`ArbEvent::KernelFinished`] (fed here on a fault, by the consumer on
+/// a completion), which is what balances the admission gauges.
 ///
 /// `start_from` is the absolute `slateIdx` progress to resume at: 0 for a
 /// fresh launch, the carried progress for a crash-adopted one. If the
 /// daemon crashes at any point of this call the launch is deposited into
-/// the crash scene at its current progress and `Ok` returned — the
-/// recovered daemon's adoption pass owns it from there, and the WAL-level
-/// `LaunchDone` record is written *before* the completion is fed to the
-/// core, so a kill between the two re-drains zero blocks rather than
-/// re-executing any.
+/// the crash scene at the progress its completion carries and `Ok`
+/// returned — the recovered daemon's adoption pass owns it from there,
+/// and the WAL-level `LaunchDone` record is written *before* the
+/// completion is fed to the core, so a kill between the two re-drains
+/// zero blocks rather than re-executing any.
 #[allow(clippy::too_many_arguments)]
 fn execute_kernel(
     shared: &Arc<DaemonShared>,
@@ -2107,92 +2220,43 @@ fn execute_kernel(
         (p.class, p.sm_demand)
     };
 
-    // Transform, then wait for the lease's device core to grant an SM
-    // range. A rebalance migration evicts the run and loops back here:
-    // the lease's route now points at the target device, and the dispatch
-    // resumes from the carried absolute `slateIdx` progress, so no user
-    // block executes twice.
-    let transformed = TransformedKernel::new(kernel);
-    let started = Instant::now();
-    let mut carried: u64 = start_from;
-    let (out, ran_on) = loop {
-        let device = &shared.devices[shared.arb.lease_device(lease)];
-        let dispatcher = Dispatcher::resume(
-            device.clone(),
-            transformed.clone(),
-            task_size,
-            SmRange::all(device.num_sms),
-            carried,
-        );
-        let handle = dispatcher.handle();
-        let ready = ArbEvent::KernelReady {
-            session: lease >> 16,
-            lease,
-            class,
-            sm_demand: demand,
-            pinned_solo,
-            // The core arms the watchdog at dispatch (not while queued:
-            // waiting behind a long co-runner is not the kernel's fault).
-            deadline_ms: deadline_ms.or(shared.default_deadline_ms),
-        };
-        let (granted_on, range) =
-            match shared
-                .arb
-                .wait_grant(lease, ready, handle.clone(), hang_token.clone())
-            {
-                GrantWait::Granted(device, range) => (device, range),
-                GrantWait::Crashed { ready_fed } => {
-                    deposit(carried, ready_fed);
-                    return Ok(());
-                }
-            };
-        if range != SmRange::all(shared.devices[granted_on].num_sms) {
-            // Bind the first worker launch onto the granted partition (the
-            // raced retreat at worst costs one immediate relaunch).
-            handle.resize(range);
-        }
-        let out = dispatcher.run();
-        if shared.arb.crashed() {
-            // The eviction that ended this run was the crash's blanket
-            // eviction, not a scheduling decision: park at the carried
-            // progress.
-            deposit(out.blocks, true);
-            return Ok(());
-        }
-        // A migration target must be read before KernelFinished lands:
-        // that feed completes the migration and flips the lease's route.
-        let migrated = out.evicted && shared.arb.migration_target(lease).is_some();
-        if !out.evicted {
-            // Durable point of no return: once `LaunchDone` is on disk the
-            // launch will never re-execute, even if the completion feed
-            // below loses the race against a crash.
-            if let Some(d) = &shared.durability {
-                d.append_meta(&WalRecord::LaunchDone { session, launch_id });
-            }
-        }
-        let fed = shared.arb.finish(lease, !out.evicted);
-        if !fed {
-            // Crash landed between the run and its completion feed: the
-            // adoption re-run resumes at full progress and drains zero
-            // blocks, closing the launch in the recovered core.
-            deposit(out.blocks, true);
-            return Ok(());
-        }
-        if migrated {
-            carried = out.blocks;
-            continue;
-        }
-        break (out, granted_on);
+    // Stage on the lease's device and wait for the outcome. The consumer
+    // carries a rebalance migration to the target device at the carried
+    // absolute `slateIdx` progress, so no user block executes twice.
+    let mut spec = WorkSpec::resuming(TransformedKernel::new(kernel), task_size, start_from);
+    spec.cancel = hang_token;
+    let ready = ArbEvent::KernelReady {
+        session,
+        lease,
+        class,
+        sm_demand: demand,
+        pinned_solo,
+        // The core arms the watchdog at dispatch (not while queued:
+        // waiting behind a long co-runner is not the kernel's fault).
+        deadline_ms: deadline_ms.or(shared.default_deadline_ms),
     };
+    let started = Instant::now();
+    let Some(out) = shared.arb.launch(lease, launch_id, spec, ready) else {
+        deposit(start_from, false);
+        return Ok(());
+    };
+    if !out.fed {
+        // The crash cut the launch off (its blanket eviction, or a run
+        // that ended after the kill point): the adoption re-run resumes
+        // at the carried progress — full progress drains zero blocks and
+        // closes the launch in the recovered core.
+        deposit(out.progress, true);
+        return Ok(());
+    }
     *shared.launches.lock() += 1;
-    if out.evicted {
+    if !out.ok {
         // An eviction with no migration target means the run is over. If
         // the device it ran on dropped out of service (and the fleet had
         // nowhere to evacuate it), report the lost device rather than a
         // watchdog timeout so clients retry against a healed fleet.
-        if shared.arb.device_health(ran_on).out_of_service() {
+        if shared.arb.device_health(out.device).out_of_service() {
             return Err(SlateError::DeviceLost {
-                device: ran_on as u64,
+                device: out.device as u64,
             }
             .to_wire());
         }
@@ -2201,7 +2265,7 @@ fn execute_kernel(
         }
         .to_wire());
     }
-    debug_assert!(out.blocks == grid_blocks);
+    debug_assert!(out.progress == grid_blocks);
     Ok(())
 }
 
@@ -2272,6 +2336,19 @@ mod tests {
         assert_eq!(daemon.live_allocations(), 0);
         assert_eq!(daemon.launches_served(), 1);
         client.disconnect().unwrap();
+        daemon.join();
+    }
+
+    #[test]
+    fn finished_session_threads_are_not_retained() {
+        let daemon = SlateDaemon::start(DeviceConfig::tiny(2), 1 << 20);
+        let mut most = 0;
+        for i in 0..200 {
+            let client = SlateClient::new(daemon.connect(&format!("churn-{i}")).unwrap());
+            client.disconnect().unwrap();
+            most = most.max(daemon.sessions.lock().len());
+        }
+        assert!(most <= 32, "{most} session handles retained");
         daemon.join();
     }
 

@@ -73,6 +73,17 @@ fn device_chaos_wrapped_dispatcher_backend_passes_conformance() {
 }
 
 #[test]
+fn dispatcher_backend_eviction_cancels_the_staged_token() {
+    testkit::evict_cancels_blocked_kernel(&mut DispatcherBackend::new(device()));
+    for seed in [0xA11CE, 0xB0B, 42] {
+        testkit::evict_cancels_blocked_kernel(&mut ChaosBackend::new(
+            DispatcherBackend::new(device()),
+            FaultPlan::command_chaos(seed, 12),
+        ));
+    }
+}
+
+#[test]
 fn chaos_perturbations_actually_fire() {
     // The chaos suite only means something if the perturbations trigger:
     // run the churn scenario (9+ commands) against a dense plan and check
