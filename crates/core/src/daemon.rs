@@ -1526,18 +1526,19 @@ impl SlateDaemon {
             )));
         }
         let meta = durability.meta();
-        let Some(smeta) = meta.sessions.get(&token.session) else {
+        let Some(smeta) = meta.sessions.get(&token.session).filter(|s| s.open) else {
+            // Ids are never reused: one the log issued that it no longer
+            // lists open was closed (and perhaps swept at a checkpoint).
+            let why = if token.session < meta.next_session {
+                "was closed before the crash"
+            } else {
+                "is unknown to the log"
+            };
             return Err(SlateError::ResumeRejected(format!(
-                "session {} is unknown to the log",
+                "session {} {why}",
                 token.session
             )));
         };
-        if !smeta.open {
-            return Err(SlateError::ResumeRejected(format!(
-                "session {} was closed before the crash",
-                token.session
-            )));
-        }
         if !self.shared.resumed.lock().insert(token.session) {
             return Err(SlateError::ResumeRejected(format!(
                 "session {} was already resumed",

@@ -7,10 +7,11 @@
 //!    one is skipped in favour of an older one — more replay, same
 //!    answer);
 //! 2. rebuild the [`PlacementLayer`] from it;
-//! 3. replay every WAL segment `≥` the snapshot's anchor, in order:
-//!    `Batch` records re-feed the layer (outputs discarded — the
-//!    decisions already happened), every record folds into the
-//!    [`DurableMeta`] mirror;
+//! 3. replay every WAL segment `≥` the snapshot's anchor, in order —
+//!    at most two unless checkpoints failed: `Batch` records re-feed the
+//!    layer (outputs discarded — the decisions already happened), every
+//!    record folds into the [`DurableMeta`] mirror, which is swept of
+//!    closed sessions at each segment boundary as the live one was;
 //! 4. surface — never panic on — torn tails and corruption, with the
 //!    byte offset where each log stopped being trustworthy.
 //!
@@ -85,6 +86,7 @@ pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
         if *k < base.segment {
             continue; // superseded by the snapshot
         }
+        meta.sweep_closed();
         let scan = read_segment(path)?;
         for record in &scan.records {
             if let WalRecord::Batch { batch } = record {

@@ -8,9 +8,13 @@
 //!
 //! Snapshot `k` captures the state as of the start of WAL segment `k`:
 //! recovery loads the highest readable snapshot and replays only segments
-//! `≥ k`. Snapshots are written to a temp file and renamed into place, so
-//! a crash mid-snapshot leaves the previous one intact; a snapshot that
-//! fails to parse at recovery time is skipped in favour of an older one
+//! `≥ k`. Closed sessions are swept from the mirror at every segment
+//! boundary ([`DurableMeta::sweep_closed`]), so a snapshot holds only the
+//! sessions open when it was taken and its size tracks the live sessions,
+//! not every session ever opened. Snapshots are written by the
+//! checkpointer thread to a temp file and renamed into place, so a crash
+//! mid-snapshot leaves the previous one intact; a snapshot that is missing
+//! or fails to parse at recovery time is skipped in favour of an older one
 //! (with more replay).
 
 use super::wal::WalRecord;
@@ -47,7 +51,8 @@ pub struct SessionMeta {
     #[serde(default)]
     pub slo: SloClass,
     /// Whether the session is still open (closed sessions linger only
-    /// until the next compaction-time sweep).
+    /// until the next segment boundary, where
+    /// [`DurableMeta::sweep_closed`] drops them).
     pub open: bool,
     /// Next slate pointer to hand out — a watermark kept strictly above
     /// every pointer ever returned, so resumed sessions never recycle
@@ -62,11 +67,14 @@ pub struct SessionMeta {
     pub done: BTreeMap<u64, bool>,
 }
 
-/// Daemon-side durable metadata, mirrored on every WAL append and
-/// serialized whole into each snapshot.
+/// Daemon-side durable metadata, mirrored on every WAL append, swept of
+/// closed sessions at every segment boundary and serialized whole into
+/// each snapshot.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct DurableMeta {
-    /// Next session id the daemon will assign.
+    /// Next session id the daemon will assign. Ids are never reused, so
+    /// an id below this that [`DurableMeta::sessions`] no longer lists
+    /// was closed and swept.
     pub next_session: u64,
     /// Per-session records, open and (until swept) closed.
     pub sessions: BTreeMap<u64, SessionMeta>,
@@ -126,6 +134,13 @@ impl DurableMeta {
                 s.done.insert(*launch_id, true);
             }
         }
+    }
+
+    /// Drops closed sessions. Runs at every segment boundary — live when
+    /// the segment rotates, in recovery before each segment is replayed —
+    /// so the live and the recovered mirrors agree.
+    pub fn sweep_closed(&mut self) {
+        self.sessions.retain(|_, s| s.open);
     }
 }
 

@@ -14,9 +14,11 @@
 
 use slate_core::api::{resume_with_retry, RetryPolicy, SlateClient};
 use slate_core::daemon::{DaemonOptions, ResumeToken, SlateDaemon};
-use slate_core::durability::full_log;
+use slate_core::durability::snapshot::load_snapshot;
+use slate_core::durability::wal::{list_segments, list_snapshots, read_segment};
+use slate_core::durability::{full_log, WalRecord};
 use slate_core::placement::replay::verify;
-use slate_core::DurabilityOptions;
+use slate_core::{DurabilityOptions, SlateError};
 use slate_gpu_sim::buffer::GpuBuffer;
 use slate_gpu_sim::device::DeviceConfig;
 use slate_gpu_sim::perf::KernelPerf;
@@ -266,6 +268,89 @@ fn resume_tokens_are_single_use_and_epoch_checked() {
         .unwrap();
     resumed.synchronize().unwrap();
     resumed.disconnect().unwrap();
+    recovered.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A session closed before the crash and swept from the snapshot at the
+/// next checkpoint is still refused as closed, not as unknown.
+#[test]
+fn resume_of_a_swept_session_is_refused_as_closed() {
+    let dir = tmpdir("swept");
+    let options = || DaemonOptions {
+        devices: fleet(2),
+        durability: Some(DurabilityOptions {
+            dir: dir.to_path_buf(),
+            snapshot_every: 8,
+            keep_all: false,
+        }),
+        ..Default::default()
+    };
+    let daemon = SlateDaemon::start_with_options(DeviceConfig::tiny(4), 1 << 24, options());
+    let gone = SlateClient::new(daemon.connect("gone").unwrap());
+    let token = gone.resume_token();
+    gone.disconnect().unwrap();
+    // The close is appended after the client's goodbye: find its segment.
+    let closed_in = (0..2000)
+        .find_map(|_| {
+            let hit = list_segments(&dir).unwrap().into_iter().find(|(_, path)| {
+                read_segment(path).is_ok_and(|scan| {
+                    scan.records.contains(&WalRecord::SessionClosed {
+                        session: token.session,
+                    })
+                })
+            });
+            if hit.is_none() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            hit.map(|(k, _)| k)
+        })
+        .expect("the close reaches the WAL");
+    // Drive another session until the log rotates past that segment.
+    let busy = SlateClient::new(daemon.connect("busy").unwrap());
+    let p = busy.malloc(4 * BLOCKS as u64).unwrap();
+    for _ in 0..200 {
+        if list_segments(&dir).unwrap().last().unwrap().0 > closed_in {
+            break;
+        }
+        busy.launch_replayable(vec![p], 8, None, |bufs| -> Arc<dyn GpuKernel> {
+            Arc::new(HitKernel {
+                base: 0,
+                hits: bufs[0].clone(),
+            })
+        })
+        .unwrap();
+        busy.synchronize().unwrap();
+    }
+    let scene = daemon.crash(); // waits for the checkpoint in flight
+    let (k, path) = list_snapshots(&dir).unwrap().pop().unwrap();
+    assert!(k > closed_in, "a checkpoint followed the close");
+    let snap = load_snapshot(&path).unwrap();
+    assert!(
+        !snap.meta.sessions.contains_key(&token.session),
+        "the closed session was swept from the newest snapshot"
+    );
+    let recovered = SlateDaemon::recover(scene, options()).unwrap();
+    match recovered.resume(token).err().unwrap() {
+        SlateError::ResumeRejected(why) => assert!(
+            why.ends_with("was closed before the crash"),
+            "wrong reason: {why}"
+        ),
+        other => panic!("expected ResumeRejected, got {other:?}"),
+    }
+    // An id the log never issued is still unknown to it.
+    let unknown = ResumeToken {
+        epoch: 0,
+        session: snap.meta.next_session + 100,
+    };
+    match recovered.resume(unknown).err().unwrap() {
+        SlateError::ResumeRejected(why) => assert!(why.ends_with("is unknown to the log")),
+        other => panic!("expected ResumeRejected, got {other:?}"),
+    }
+    let busy_again = recovered
+        .resume(busy.resume_token())
+        .expect("the open session resumes");
+    SlateClient::new(busy_again).disconnect().unwrap();
     recovered.join();
     std::fs::remove_dir_all(&dir).ok();
 }
